@@ -1,13 +1,14 @@
 package basket
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
 func TestScalableInsertExtract(t *testing.T) {
-	b := NewScalable[int](4, 4)
+	b := newScalable[int](4, 4)
 	if !b.Insert(0, 10) {
 		t.Fatal("first insert failed")
 	}
@@ -34,7 +35,7 @@ func TestScalableInsertExtract(t *testing.T) {
 }
 
 func TestScalableEmptyBitFastPath(t *testing.T) {
-	b := NewScalable[int](2, 2)
+	b := newScalable[int](2, 2)
 	b.Extract()
 	b.Extract()
 	if !b.Empty() {
@@ -50,7 +51,7 @@ func TestScalableEmptyBitFastPath(t *testing.T) {
 }
 
 func TestScalableInsertAfterSweepFails(t *testing.T) {
-	b := NewScalable[int](2, 2)
+	b := newScalable[int](2, 2)
 	for {
 		if _, ok := b.Extract(); !ok {
 			break
@@ -62,7 +63,7 @@ func TestScalableInsertAfterSweepFails(t *testing.T) {
 }
 
 func TestScalableResetOwn(t *testing.T) {
-	b := NewScalable[int](2, 2)
+	b := newScalable[int](2, 2)
 	b.Insert(0, 7)
 	b.ResetOwn(0)
 	if !b.Insert(0, 8) {
@@ -76,7 +77,7 @@ func TestScalableResetOwn(t *testing.T) {
 
 func TestScalableBound(t *testing.T) {
 	// capacity 8 but only 3 active inserters: extraction must stop at 3.
-	b := NewScalable[int](8, 3)
+	b := New[int](WithCapacity(8), WithBound(3))
 	b.Insert(1, 11)
 	n := 0
 	for {
@@ -94,17 +95,22 @@ func TestScalableBound(t *testing.T) {
 }
 
 func TestScalableBadCapacityPanics(t *testing.T) {
+	// Zero capacity selects the default (GOMAXPROCS cells); only an
+	// explicit negative capacity is rejected, whatever the bound.
+	if got, want := New[int](WithCapacity(0)).(*Scalable[int]).Capacity(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("WithCapacity(0) built %d cells, want GOMAXPROCS = %d", got, want)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("no panic for zero capacity")
+			t.Error("no panic for negative capacity with an in-range bound")
 		}
 	}()
-	NewScalable[int](0, 0)
+	New[int](WithCapacity(-1), WithBound(1))
 }
 
 func TestScalableConcurrentNoLossNoDup(t *testing.T) {
 	const n = 16
-	b := NewScalable[int](n, n)
+	b := newScalable[int](n, n)
 	var wg sync.WaitGroup
 	inserted := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -241,7 +247,7 @@ func TestClosingStackConcurrent(t *testing.T) {
 func TestBasketProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		for _, mk := range []func() Basket[uint64]{
-			func() Basket[uint64] { return NewScalable[uint64](8, 8) },
+			func() Basket[uint64] { return newScalable[uint64](8, 8) },
 			func() Basket[uint64] { return NewClosingStack[uint64]() },
 		} {
 			b := mk()

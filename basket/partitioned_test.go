@@ -7,7 +7,7 @@ import (
 )
 
 func TestPartitionedInsertExtract(t *testing.T) {
-	b := NewPartitioned[int](8, 8, 4)
+	b := New[int](WithCapacity(8), WithPartitions(4))
 	for i := 0; i < 8; i += 2 {
 		if !b.Insert(i, 100+i) {
 			t.Fatalf("insert %d failed", i)
@@ -36,7 +36,7 @@ func TestPartitionedInsertExtract(t *testing.T) {
 }
 
 func TestPartitionedEmptyAfterExhaustionOnly(t *testing.T) {
-	b := NewPartitioned[int](6, 6, 3)
+	b := newPartitioned[int](6, 6, 3)
 	if b.Empty() {
 		t.Fatal("fresh basket Empty")
 	}
@@ -55,18 +55,14 @@ func TestPartitionedEmptyAfterExhaustionOnly(t *testing.T) {
 }
 
 func TestPartitionedKClamping(t *testing.T) {
-	b := NewPartitioned[int](4, 4, 100) // k clamped to 4
+	b := New[int](WithCapacity(4), WithPartitions(100)).(*Partitioned[int]) // k clamped to 4
 	if len(b.parts) != 4 {
 		t.Fatalf("k = %d, want 4", len(b.parts))
-	}
-	b2 := NewPartitioned[int](4, 4, 0) // k clamped to 1
-	if len(b2.parts) != 1 {
-		t.Fatalf("k = %d, want 1", len(b2.parts))
 	}
 }
 
 func TestPartitionedPartitionBounds(t *testing.T) {
-	b := NewPartitioned[int](10, 10, 3)
+	b := newPartitioned[int](10, 10, 3)
 	covered := make([]bool, 10)
 	for pi := range b.parts {
 		p := &b.parts[pi]
@@ -85,7 +81,7 @@ func TestPartitionedPartitionBounds(t *testing.T) {
 }
 
 func TestPartitionedBoundSmallerThanCapacity(t *testing.T) {
-	b := NewPartitioned[int](16, 4, 2)
+	b := newPartitioned[int](16, 4, 2)
 	b.Insert(1, 11)
 	n := 0
 	for {
@@ -101,7 +97,7 @@ func TestPartitionedBoundSmallerThanCapacity(t *testing.T) {
 }
 
 func TestPartitionedResetOwn(t *testing.T) {
-	b := NewPartitioned[int](4, 4, 2)
+	b := newPartitioned[int](4, 4, 2)
 	b.Insert(2, 5)
 	b.ResetOwn(2)
 	if !b.Insert(2, 6) {
@@ -111,7 +107,7 @@ func TestPartitionedResetOwn(t *testing.T) {
 
 func TestPartitionedConcurrent(t *testing.T) {
 	const n = 32
-	b := NewPartitioned[int](n, n, 8)
+	b := newPartitioned[int](n, n, 8)
 	var wg sync.WaitGroup
 	inserted := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -160,7 +156,7 @@ func TestPartitionedConcurrent(t *testing.T) {
 func TestPartitionedEmptyMonotoneProperty(t *testing.T) {
 	f := func(ops []uint8, kRaw uint8) bool {
 		k := int(kRaw)%4 + 1
-		b := NewPartitioned[uint64](8, 8, k)
+		b := newPartitioned[uint64](8, 8, k)
 		sawEmpty := false
 		next := uint64(1)
 		for _, op := range ops {

@@ -43,10 +43,6 @@ func Bind(threads int, opt Options) *Bound {
 // cooperative, single-threaded scheduling, like all machine-track state.
 func (b *Bound) Attach(tid int, p *machine.Proc) { b.procs[tid] = p }
 
-// Caser returns thread tid's executor, exposing its telemetry counters
-// (Ops, Attempts, Fallbacks).
-func (b *Bound) Caser(tid int) *CAS { return b.casers[tid] }
-
 // TxCAS implements txcas.Primitive: run one simulated-track TxCAS on
 // thread's proc against machine address loc (machine.Addr is an alias of
 // uint64, so the Loc conversion is free).

@@ -16,7 +16,7 @@ func TestSBQHTMLinearizableUnderSpuriousAborts(t *testing.T) {
 	cfg := machine.Default()
 	cfg.SpuriousAbortEvery = 3
 	m := machine.New(cfg)
-	app, _ := NewTxCASAppend(threads, core.DefaultOptions())
+	app := PrimitiveAppend(core.Bind(threads, core.DefaultOptions()))
 	q := NewSBQ(m, SBQOptions{
 		BasketSize: producers, Enqueuers: producers, Threads: threads, Append: app,
 	})

@@ -47,8 +47,8 @@ const DefaultBudget = 4
 const watchChecks = 8
 
 // cyclesPerNS converts the simulated track's cycle-denominated policy
-// delays to wall time (the 2.5 GHz convention shared with repro/queue/sbq),
-// so one policy value means the same delay on both tracks.
+// delays to wall time (the simulated machine's 2.5 GHz convention), so
+// one policy value means the same delay on both tracks.
 const cyclesPerNS = 2.5
 
 // Word is one native TxCAS location: the value word plus its publication
@@ -94,10 +94,13 @@ func (w *Word) Writer() int { return int(w.writer.Load()) - 1 }
 // A Gate's contract is that every guarded location is one-shot: it is
 // CASed away from its initial value at most once (queue link fields are
 // the canonical case — nil until linked, then never nil again), and every
-// winner publishes through the Gate. Under that contract a version
-// advance observed during a contender's window *proves* its pending CAS
-// can no longer succeed, so soft-aborting is exactly as correct as
-// issuing the CAS and failing — minus the coherence traffic.
+// winner publishes through the Gate. A version advance observed during a
+// contender's window is only the trigger: winners publish after their
+// CAS, so when one Gate serves several locations the advance may report a
+// win elsewhere. The contender therefore re-reads its own location and
+// soft-aborts only if it has left the expected value; one-shot-ness makes
+// that proof final, so soft-aborting is exactly as correct as issuing the
+// CAS and failing — minus the coherence traffic.
 type Gate struct {
 	//lf:contended winners publish here; contenders poll during their window
 	ver atomic.Uint64
@@ -216,10 +219,9 @@ func NewEngine(opts ...Option) *Engine {
 		ev:            obs.Events(o.rec),
 	}
 	e.rng.Store(0x9E3779B97F4A7C15)
-	// The policy randomness stream: a queue-local xorshift mix, same
-	// symmetry-breaking scheme the sbq append policies use — the native
-	// track makes no determinism promise, it just needs cheap jitter
-	// without clock reads.
+	// The policy randomness stream: an engine-local xorshift mix — the
+	// native track makes no determinism promise, it just needs cheap
+	// jitter without clock reads.
 	e.randN = func(n uint64) uint64 {
 		x := e.rng.Add(0xBF58476D1CE4E5B9)
 		x ^= x >> 30
@@ -450,9 +452,10 @@ func (e *Engine) gateFail(g *Gate, v0 uint64, out Outcome) Outcome {
 // permanent for the baskets queue (it profits from the failure instead of
 // retrying), so the operation is a single speculative attempt — watch the
 // gate for the window, soft-abort without issuing the CAS if a winner
-// published, otherwise issue it and on failure harvest the report. A
-// policy Fallback decision (e.g. policy.DelayedCAS) skips the watch:
-// delay, then one plain CAS, the classic §4.1 software baseline.
+// published and ptr no longer holds old, otherwise issue it and on
+// failure harvest the report. A policy Fallback decision (e.g.
+// policy.DelayedCAS) skips the watch: delay, then one plain CAS, the
+// classic §4.1 software baseline.
 //
 //lf:hotpath invoked by every TxCAS-mode try_append in repro/queue/sbq
 func GuardedCAS[T any](e *Engine, g *Gate, thread int, ptr *atomic.Pointer[T], old, new *T) Outcome {
@@ -471,11 +474,15 @@ func GuardedCAS[T any](e *Engine, g *Gate, thread int, ptr *atomic.Pointer[T], o
 			window = cyclesToIters(d.Delay, e.itersPerCycle)
 		}
 	}
-	if window > 0 && watch(&g.ver, v0, window) {
-		// A winner published during our window; under the Gate contract
-		// the pending CAS can no longer succeed, so abandon it before it
-		// ever reaches the line and report the failure with the winner's
-		// identity attached.
+	if window > 0 && watch(&g.ver, v0, window) && ptr.Load() != old {
+		// A winner published during our window and our own location has
+		// moved off old; under the Gate contract it never returns, so the
+		// pending CAS can no longer succeed. Abandon it before it ever
+		// reaches the line and report the failure with the winner's
+		// identity attached. A gate move alone proves nothing when the
+		// gate serves several locations: it may be a late publication of
+		// a win elsewhere (one published after our v0 snapshot), so the
+		// re-read is what licenses the soft abort.
 		out.SoftAborts = 1
 		e.softAborted(thread, g.Writer())
 		return e.gateFail(g, v0, out)

@@ -230,6 +230,49 @@ func TestGuardedCASSoftAbort(t *testing.T) {
 	}
 }
 
+// lateWin is a RetryPolicy that, on its first decision, wins a different
+// location through the same gate and then asks for a speculation window.
+// GuardedCAS consults the policy after snapshotting the gate version and
+// before watching it, so the win lands exactly in the gap that a
+// queue-wide gate exposes: a contender's v0 taken before the previous
+// node's linker published.
+type lateWin struct {
+	e    *txcas.Engine
+	g    *txcas.Gate
+	link *atomic.Pointer[int]
+	done bool
+}
+
+func (p *lateWin) Decide(policy.Abort, func(uint64) uint64) policy.Decision {
+	if !p.done {
+		p.done = true
+		txcas.GuardedCAS(p.e, p.g, 9, p.link, nil, new(int))
+	}
+	return policy.Decision{Delay: 100}
+}
+
+// TestGuardedCASGateMoveElsewhere is the deterministic regression test for
+// the shared-gate race: a gate version advance published for another
+// location must not soft-abort a CAS whose own location still holds old.
+func TestGuardedCASGateMoveElsewhere(t *testing.T) {
+	var g txcas.Gate
+	var other, mine atomic.Pointer[int]
+	pol := &lateWin{e: txcas.NewEngine(txcas.WithWindow(0)), g: &g, link: &other}
+	e := txcas.NewEngine(txcas.WithPolicy(pol))
+
+	n := new(int)
+	out := txcas.GuardedCAS(e, &g, 1, &mine, nil, n)
+	if !pol.done || other.Load() == nil || g.Version() == 0 {
+		t.Fatal("policy did not win the other location through the gate")
+	}
+	if !out.OK || out.SoftAborts != 0 {
+		t.Fatalf("guarded CAS on an untouched location: %+v, want OK with no soft abort", out)
+	}
+	if mine.Load() != n {
+		t.Fatal("location does not hold the caller's node")
+	}
+}
+
 // TestPolicyFallback checks the policy plumbing: DelayedCAS (always
 // Fallback) resolves on the plain path, and the engine counts it.
 func TestPolicyFallback(t *testing.T) {

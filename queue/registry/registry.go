@@ -124,10 +124,7 @@ func (o Ordering) String() string {
 // be called with 0 <= i < Config.Producers and each returned view used by
 // at most one goroutine at a time; ConsumerView views are safe to share
 // unless the entry documents otherwise.
-//
-// The view funcs are unexported fields reached through methods so the old
-// field-style surface (Producer/Consumer) could be kept as deprecated
-// wrappers: construct an Instance with Views or Batched.
+// Construct one with Views or Batched.
 type Instance struct {
 	producer func(i int) queue.BatchQueue[uint64]
 	consumer func(i int) queue.BatchQueue[uint64]
@@ -143,16 +140,6 @@ func (in Instance) ProducerView(i int) queue.BatchQueue[uint64] { return in.prod
 
 // ConsumerView returns the batch-capable view for consumer i.
 func (in Instance) ConsumerView(i int) queue.BatchQueue[uint64] { return in.consumer(i) }
-
-// Producer returns the view for producer i.
-//
-// Deprecated: use ProducerView, which returns the batch-capable view.
-func (in Instance) Producer(i int) queue.Queue[uint64] { return in.producer(i) }
-
-// Consumer returns the view for consumer i.
-//
-// Deprecated: use ConsumerView, which returns the batch-capable view.
-func (in Instance) Consumer(i int) queue.Queue[uint64] { return in.consumer(i) }
 
 // Builder constructs a queue for one registry entry.
 type Builder func(cfg Config) Instance
@@ -235,13 +222,4 @@ func Build(name string, cfg Config) (Instance, error) {
 func Batched(q queue.BatchQueue[uint64]) Instance {
 	view := func(int) queue.BatchQueue[uint64] { return q }
 	return Views(view, view)
-}
-
-// Shared wraps a single thread-safe queue as an Instance: every view is the
-// queue itself.
-//
-// Deprecated: use Batched(queue.AsBatch(q)), which hands out batch-capable
-// views.
-func Shared(q queue.Queue[uint64]) Instance {
-	return Batched(queue.AsBatch(q))
 }

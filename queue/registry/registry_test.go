@@ -306,42 +306,6 @@ func TestBatchRecorderThreading(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSurface keeps the deprecated wrappers' behavior pinned:
-// Producer/Consumer return the same views as ProducerView/ConsumerView,
-// and Shared hands out AsBatch-upgraded views. This test lives in the
-// defining package's _test package, where deprecated uses are exempt from
-// the lint table.
-func TestDeprecatedSurface(t *testing.T) {
-	inst, err := registry.Build("FAA-Queue", registry.Config{Producers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Producer(0).Enqueue(11)
-	if v, ok := inst.Consumer(0).Dequeue(); !ok || v != 11 {
-		t.Fatalf("deprecated views: got %d,%v, want 11,true", v, ok)
-	}
-
-	sh := registry.Shared(queue.AsBatch[uint64](sliceQueue{new([]uint64)}))
-	sh.ProducerView(0).EnqueueBatch([]uint64{1, 2, 3})
-	dst := make([]uint64, 4)
-	if n := sh.ConsumerView(0).DequeueBatch(dst); n != 3 || dst[0] != 1 || dst[2] != 3 {
-		t.Fatalf("Shared batch views: got %d %v, want 3 [1 2 3 _]", n, dst)
-	}
-}
-
-// sliceQueue is a minimal single-threaded queue.Queue for the Shared test.
-type sliceQueue struct{ vs *[]uint64 }
-
-func (q sliceQueue) Enqueue(v uint64) { *q.vs = append(*q.vs, v) }
-func (q sliceQueue) Dequeue() (uint64, bool) {
-	if len(*q.vs) == 0 {
-		return 0, false
-	}
-	v := (*q.vs)[0]
-	*q.vs = (*q.vs)[1:]
-	return v, true
-}
-
 // TestConfigValidate is the table for Config.Validate and its enforcement
 // in Build: zero values are documented defaults and must stay valid, while
 // negative counts must produce a named-field error instead of a panic deep

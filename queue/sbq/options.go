@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/basket"
-	"repro/internal/machine/policy"
 	"repro/internal/obs"
 	"repro/internal/txcas"
 )
@@ -80,34 +79,15 @@ func WithAppendDelay(d time.Duration) Option {
 // queue's recorder is attached automatically, so soft aborts and sharer
 // hints land in the same snapshot as the CAS counters.
 //
-// WithTxCAS supersedes WithAppendDelay/WithAppendPolicy's spin-only
-// pacing and takes precedence over both when combined.
+// WithTxCAS supersedes WithAppendDelay's spin-only pacing and takes
+// precedence over it when combined. A plain delayed CAS under a policy is
+// WithTxCAS(txcas.WithPolicy(policy.DelayedCAS{...}), txcas.WithWindow(0)):
+// the policy's Fallback decision spins its delay and issues one plain CAS.
 func WithTxCAS(opts ...txcas.Option) Option {
 	return func(o *options) {
 		o.txcasOn = true
 		o.txcasOpts = append(o.txcasOpts, opts...)
 	}
-}
-
-// WithAppendPolicy paces try_append with a retry policy from
-// repro/internal/machine/policy, the same policy values the simulated track
-// accepts — so an experiment can run one policy on both tracks. Natively a
-// failed linking CAS is permanent (another node is linked; SBQ profits from
-// the failure instead of retrying), so only the pre-attempt decision is
-// consulted: the policy's Decision.Delay (in simulated cycles, converted at
-// 2.5 cycles/ns) becomes a calibrated spin before the single CAS, and the
-// Fallback flag is ignored because the native CAS already is the software
-// path. policy.DelayedCAS{Delay: 675} therefore reproduces
-// WithAppendDelay(270 * time.Nanosecond).
-//
-// Deprecated: use WithTxCAS(txcas.WithPolicy(p), txcas.WithWindow(0)) —
-// the unified CAS-primitive surface, which this wrapper now forwards to.
-// Append success/failure is decided identically: a fallback decision spins
-// the decided delay and issues the plain CAS exactly as before; a delay
-// decision's spin becomes the speculation window, which can only convert
-// an already-doomed CAS into a cheaper soft abort.
-func WithAppendPolicy(p policy.RetryPolicy) Option {
-	return WithTxCAS(txcas.WithPolicy(p), txcas.WithWindow(0))
 }
 
 // WithBasket overrides the basket constructor (the default is the scalable

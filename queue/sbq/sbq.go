@@ -37,10 +37,10 @@ package sbq
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/basket"
 	"repro/internal/obs"
+	"repro/internal/spin"
 	"repro/internal/txcas"
 	"repro/reclaim"
 )
@@ -60,10 +60,6 @@ type node[T any] struct {
 	retired atomic.Bool
 }
 
-// appendFn attempts CAS(next, nil, n) and reports success. PlainCAS and
-// delayed-CAS strategies are selected through WithAppendDelay.
-type appendFn[T any] func(next *atomic.Pointer[node[T]], n *node[T]) bool
-
 // Queue is the scalable baskets queue.
 type Queue[T any] struct {
 	//lf:contended swung by every dequeuer's advanceNode catch-up CAS
@@ -74,16 +70,20 @@ type Queue[T any] struct {
 	_    [56]byte
 
 	// gate is the TxCAS-mode publication channel for the linking CAS
-	// (nil engine = unused). One gate serves every node's next field:
-	// exactly one list node has a nil next at any moment, so the family
-	// is one-shot in the sense txcas.Gate requires — any win published
-	// while a contender holds a nil-next snapshot dooms that contender's
-	// CAS, whichever node the winner linked. (Gate carries its own
-	// padding; see internal/txcas.)
+	// (nil engine = unused). One gate serves every node's next field;
+	// each is one-shot (nil until linked, then never nil again), as
+	// txcas.Gate requires. A gate move during a contender's window is
+	// only a hint — it may be the late publication of the win that linked
+	// the contender's own tail — so GuardedCAS re-reads tail.next and
+	// soft-aborts only once it is non-nil. (Gate carries its own padding;
+	// see internal/txcas.)
 	gate txcas.Gate
 
 	enqueuers int
-	tryCAS    appendFn[T]
+	// delayIters is the WithAppendDelay pause before the linking CAS, in
+	// calibrated spin iterations (0 = plain CAS). Converted once here so
+	// the hot path never reads the clock (see repro/internal/spin).
+	delayIters uint64
 	// eng is non-nil in TxCAS mode (WithTxCAS): tryAppend then routes the
 	// linking CAS through txcas.GuardedCAS and the engine owns the CAS
 	// telemetry, so soft aborts genuinely reduce measured attempts and
@@ -128,26 +128,10 @@ func New[T any](opts ...Option) *Queue[T] {
 	}
 	if o.txcasOn {
 		// Native TxCAS mode: the engine is built with the queue's recorder
-		// first so WithTxCAS options can override it; tryCAS stays nil —
-		// tryAppend routes the linking CAS through GuardedCAS directly
-		// (the engine needs the handle id and the gate, which the appendFn
-		// shape cannot carry).
+		// first so WithTxCAS options can override it.
 		q.eng = txcas.NewEngine(append([]txcas.Option{txcas.WithRecorder(o.rec)}, o.txcasOpts...)...)
-	} else if o.appendDelay > 0 {
-		// Calibrate once at construction so the hot path runs a fixed
-		// iteration count (see spin.go for why the loop never reads the
-		// clock).
-		iters := spinItersFor(o.appendDelay)
-		//lf:hotpath invoked by every tryAppend
-		q.tryCAS = func(next *atomic.Pointer[node[T]], n *node[T]) bool {
-			spinIters(iters)
-			return next.CompareAndSwap(nil, n)
-		}
 	} else {
-		//lf:hotpath invoked by every tryAppend
-		q.tryCAS = func(next *atomic.Pointer[node[T]], n *node[T]) bool {
-			return next.CompareAndSwap(nil, n)
-		}
+		q.delayIters = spin.ItersFor(o.appendDelay)
 	}
 	if o.pooled {
 		if _, ok := q.newBasket().(basket.Resettable); !ok {
@@ -239,27 +223,6 @@ func (q *Queue[T]) retireRange(ptr *atomic.Pointer[node[T]], from, to *node[T]) 
 	}
 }
 
-// NewDelayedCAS returns a queue whose try_append delays before its CAS,
-// the paper's SBQ-CAS configuration.
-//
-// Deprecated: use New with WithEnqueuers and WithAppendDelay.
-func NewDelayedCAS[T any](enqueuers int, delay time.Duration) *Queue[T] {
-	return New[T](WithEnqueuers(enqueuers), WithAppendDelay(delay))
-}
-
-// NewWithOptions returns a queue with producer-handle count, try_append
-// delay (zero for plain CAS), and an optional basket constructor (nil
-// selects the scalable basket).
-//
-// Deprecated: use New with WithEnqueuers, WithAppendDelay and WithBasket.
-func NewWithOptions[T any](enqueuers int, appendDelay time.Duration, newBasket func() basket.Basket[T]) *Queue[T] {
-	opts := []Option{WithEnqueuers(enqueuers), WithAppendDelay(appendDelay)}
-	if newBasket != nil {
-		opts = append(opts, WithBasket(newBasket))
-	}
-	return New[T](opts...)
-}
-
 // Handle is a per-goroutine view of the queue. Producer handles own a
 // basket cell index and the node-reuse slot of §5.2.2. A Handle must not
 // be shared between goroutines.
@@ -313,7 +276,10 @@ func (q *Queue[T]) tryAppend(tail, n *node[T], lane int32) appendStatus {
 		r.Inc(obs.CASAttempts)
 	}
 	q.event(obs.EvCASAttempt, lane, 0)
-	if q.tryCAS(&tail.next, n) {
+	if d := q.delayIters; d > 0 {
+		spin.Iters(d)
+	}
+	if tail.next.CompareAndSwap(nil, n) {
 		return appendSuccess
 	}
 	if r := q.rec; r != nil {

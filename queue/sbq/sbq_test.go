@@ -30,6 +30,21 @@ func factory(mk func(enqueuers int) *sbq.Queue[uint64]) queuetest.Factory {
 	}
 }
 
+// drain dequeues until empty and checks that exactly want elements came out.
+func drain(t *testing.T, q *sbq.Queue[uint64], want int) {
+	t.Helper()
+	got := 0
+	for {
+		if _, ok := q.Dequeue(); !ok {
+			break
+		}
+		got++
+	}
+	if got != want {
+		t.Fatalf("drained %d of %d elements", got, want)
+	}
+}
+
 // queueView adapts the consumer side (Dequeue-only) to queue.Queue.
 type queueView[T any] struct{ q *sbq.Queue[T] }
 
@@ -49,15 +64,15 @@ func TestConformanceDelayedCAS(t *testing.T) {
 		t.Skip("delayed CAS is slow by design")
 	}
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.NewDelayedCAS[uint64](e, 200*time.Nanosecond)
+		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithAppendDelay(200*time.Nanosecond))
 	}))
 }
 
 func TestConformanceClosingStackBasket(t *testing.T) {
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.NewWithOptions[uint64](e, 0, func() basket.Basket[uint64] {
+		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithBasket(func() basket.Basket[uint64] {
 			return basket.NewClosingStack[uint64]()
-		})
+		}))
 	}))
 }
 
@@ -65,9 +80,9 @@ func TestConformancePartitionedBasket(t *testing.T) {
 	// The §8 future-work extension: partitioned extraction must preserve
 	// queue linearizability.
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.NewWithOptions[uint64](e, 0, func() basket.Basket[uint64] {
+		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithBasket(func() basket.Basket[uint64] {
 			return basket.New[uint64](basket.WithCapacity(e), basket.WithBound(e), basket.WithPartitions(2))
-		})
+		}))
 	}))
 }
 
@@ -86,6 +101,52 @@ func TestSequentialFIFO(t *testing.T) {
 	if _, ok := q.Dequeue(); ok {
 		t.Fatal("drained queue not empty")
 	}
+}
+
+// The next three tests keep the names they had when the queue had
+// positional constructors; they check the same configurations built
+// through New.
+
+func TestDeprecatedNewDelayedCAS(t *testing.T) {
+	q := sbq.New[uint64](sbq.WithEnqueuers(2), sbq.WithAppendDelay(50*time.Nanosecond))
+	h0, h1 := q.NewHandle(), q.NewHandle()
+	const per = 100
+	for i := 0; i < per; i++ {
+		h0.Enqueue(uint64(i))
+		h1.Enqueue(uint64(per + i))
+	}
+	drain(t, q, 2*per)
+}
+
+func TestDeprecatedNewWithOptionsDefaultBasket(t *testing.T) {
+	// Without WithBasket the queue uses the scalable basket.
+	q := sbq.New[uint64](sbq.WithEnqueuers(2))
+	h := q.NewHandle()
+	for i := 0; i < 50; i++ {
+		h.Enqueue(uint64(i))
+	}
+	for i := 0; i < 50; i++ {
+		v, ok := q.Dequeue()
+		if !ok || v != uint64(i) {
+			t.Fatalf("position %d: got %d,%v", i, v, ok)
+		}
+	}
+}
+
+func TestDeprecatedNewWithOptionsCustomBasket(t *testing.T) {
+	built := 0
+	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithBasket(func() basket.Basket[uint64] {
+		built++
+		return basket.NewClosingStack[uint64]()
+	}))
+	if built == 0 {
+		t.Fatal("WithBasket constructor never invoked")
+	}
+	h := q.NewHandle()
+	for i := 0; i < 20; i++ {
+		h.Enqueue(uint64(i))
+	}
+	drain(t, q, 20)
 }
 
 func TestHandleLimit(t *testing.T) {

@@ -78,15 +78,15 @@ func TestTxCASTelemetry(t *testing.T) {
 		snap.Counter(obs.CASAttempts), snap.Counter(obs.CASFailures), soft, hints)
 }
 
-// TestDeprecatedWithAppendPolicy pins the deprecated wrapper to its
-// documented replacement: it must route through the TxCAS engine with a
-// zero window, so appends succeed and policy fallback decisions are
-// honored as plain delayed CASes.
-func TestDeprecatedWithAppendPolicy(t *testing.T) {
+// TestTxCASFallbackPolicy paces try_append with a policy that always
+// answers Fallback (policy.DelayedCAS) and no speculation window: appends
+// succeed, and every linking CAS resolves on the plain path as a counted
+// fallback.
+func TestTxCASFallbackPolicy(t *testing.T) {
 	rec := obs.New()
 	q := sbq.New[uint64](
 		sbq.WithEnqueuers(2),
-		sbq.WithAppendPolicy(policy.DelayedCAS{Delay: 25}),
+		sbq.WithTxCAS(txcas.WithPolicy(policy.DelayedCAS{Delay: 25}), txcas.WithWindow(0)),
 		sbq.WithRecorder(rec),
 	)
 	h0, h1 := q.NewHandle(), q.NewHandle()
@@ -100,7 +100,7 @@ func TestDeprecatedWithAppendPolicy(t *testing.T) {
 	// DelayedCAS always answers Fallback, so every linking CAS is counted
 	// as a fallback resolution by the engine.
 	if snap.Counter(obs.CASFallbacks) == 0 {
-		t.Error("WithAppendPolicy(DelayedCAS) recorded no fallback CASes; wrapper is not routing through the engine")
+		t.Error("DelayedCAS policy recorded no fallback CASes; the append is not routing through the engine")
 	}
 	if snap.Counter(obs.CASAttempts) < snap.Counter(obs.CASFallbacks) {
 		t.Error("fallback CASes not counted as attempts")
